@@ -251,14 +251,23 @@ fn build_trees(
     (pager, tp, tq)
 }
 
+/// Output buffer of [`write_pairs`]: rows stream through it, so memory
+/// stays flat however many pairs there are.
+const OUT_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Writes the pairs as CSV (`p_id,q_id,center_x,center_y,radius`) to
+/// `out` or stdout, streamed through one fixed-size buffer. The final
+/// flush is explicit: a buffer dropped unflushed would swallow the
+/// error of a full disk and exit 0.
 fn write_pairs(out: Option<&str>, pairs: &[ringjoin_core::RcjPair]) -> Result<(), ArgError> {
-    let mut sink: Box<dyn Write> = match out {
+    let sink: Box<dyn Write> = match out {
         Some(path) => Box::new(
             std::fs::File::create(Path::new(path))
                 .map_err(|e| ArgError(format!("cannot create {path}: {e}")))?,
         ),
         None => Box::new(std::io::stdout().lock()),
     };
+    let mut sink = std::io::BufWriter::with_capacity(OUT_BUFFER_BYTES, sink);
     let mut emit = || -> std::io::Result<()> {
         writeln!(sink, "p_id,q_id,center_x,center_y,radius")?;
         for pr in pairs {
@@ -273,7 +282,7 @@ fn write_pairs(out: Option<&str>, pairs: &[ringjoin_core::RcjPair]) -> Result<()
                 pr.radius()
             )?;
         }
-        Ok(())
+        sink.flush()
     };
     emit().map_err(|e| ArgError(format!("write failed: {e}")))
 }
@@ -365,20 +374,8 @@ fn describe_update(name: &str, reply: &ringjoin_server::proto::Reply) -> String 
 /// row per operation. `f64` Display round-trips exactly, so a replayed
 /// log rebuilds bit-identical coordinates.
 fn encode_log_batch(out: &mut String, ops: &[Mutation]) {
-    use std::fmt::Write as _;
     out.push_str("batch\n");
-    for op in ops {
-        match op {
-            Mutation::Insert(it) => {
-                writeln!(out, "+ {} {} {}", it.id, it.point.x, it.point.y)
-            }
-            Mutation::Delete(id) => writeln!(out, "- {id}"),
-            Mutation::Upsert(it) => {
-                writeln!(out, "^ {} {} {}", it.id, it.point.x, it.point.y)
-            }
-        }
-        .expect("writing to a String cannot fail");
-    }
+    ringjoin_server::proto::encode_mutation_rows(out, ops);
 }
 
 /// Parses one mutation row (already trimmed, non-empty, non-comment)
@@ -1991,5 +1988,25 @@ mod tests {
         ]))
         .unwrap())
         .is_err());
+    }
+
+    /// A full disk must fail the command. The rows sit in the output
+    /// buffer until the final flush, so an unchecked flush (or a
+    /// buffer dropped unflushed) would print nothing and exit 0.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_disk_is_a_write_error() {
+        let p = tmp("full_p.bin");
+        let q = tmp("full_q.bin");
+        for (path, seed) in [(&p, "4"), (&q, "5")] {
+            run(&parse(&s(&[
+                "generate", "--kind", "uniform", "--n", "300", "--seed", seed, "--out", path,
+            ]))
+            .unwrap())
+            .unwrap();
+        }
+        let err = run(&parse(&s(&["join", "--p", &p, "--q", &q, "--out", "/dev/full"])).unwrap())
+            .unwrap_err();
+        assert!(err.0.contains("write failed"), "unexpected error: {err}");
     }
 }

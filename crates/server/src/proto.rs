@@ -75,6 +75,7 @@ use crate::sharded::{Mutation, RingBounds};
 use crate::ServerError;
 use ringjoin_core::{IndexKind, RcjAlgorithm, RcjPair, RcjStats};
 use ringjoin_geom::{pt, Item, Rect};
+use std::fmt::{self, Write as _};
 use std::io::{Read, Write};
 
 /// Hard cap on a frame payload (64 MiB): a malformed or hostile length
@@ -443,30 +444,25 @@ impl Request {
         match self {
             Request::Load { name, kind, items } => {
                 let mut out = format!("LOAD {name} {}\n", kind_name(*kind));
-                for it in items {
-                    out.push_str(&format!("{} {} {}\n", it.id, it.point.x, it.point.y));
-                }
+                encode_item_rows(&mut out, items);
                 out
             }
             Request::Insert { name, items } => {
                 let mut out = format!("INSERT {name}\n");
-                for it in items {
-                    out.push_str(&format!("{} {} {}\n", it.id, it.point.x, it.point.y));
-                }
+                encode_item_rows(&mut out, items);
                 out
             }
             Request::Delete { name, ids } => {
                 let mut out = format!("DELETE {name}\n");
+                out.reserve(ids.len() * FIELD_BYTES_HINT);
                 for id in ids {
-                    out.push_str(&format!("{id}\n"));
+                    push_row(&mut out, &[id]);
                 }
                 out
             }
             Request::Upsert { name, items } => {
                 let mut out = format!("UPSERT {name}\n");
-                for it in items {
-                    out.push_str(&format!("{} {} {}\n", it.id, it.point.x, it.point.y));
-                }
+                encode_item_rows(&mut out, items);
                 out
             }
             Request::Join {
@@ -632,125 +628,170 @@ impl Request {
     }
 }
 
-/// Parses `id x y` data rows (used by `LOAD`).
-fn parse_item_rows(body: &str) -> Result<Vec<Item>, ServerError> {
-    let mut items = Vec::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+/// Bytes reserved per field when a row encoder pre-sizes its output:
+/// a shortest-round-trip `f64` is at most 24 bytes and usually under
+/// 20, an id is shorter. One reservation up front replaces the
+/// doubling reallocations (and their copies) of a growing reply.
+const FIELD_BYTES_HINT: usize = 20;
+
+/// Appends one wire row to `out`: the fields separated by single
+/// spaces, then `\n`. Every row encoder writes through here, in place:
+/// no per-row allocation, one row format for the whole grammar.
+fn push_row(out: &mut String, fields: &[&dyn fmt::Display]) {
+    for (i, field) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
         }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let [id, x, y] = fields.as_slice() else {
-            return Err(ServerError::BadRequest(format!(
-                "expected `id x y` data row, got {line:?}"
-            )));
-        };
-        items.push(Item::new(
-            parse_num(id, "item id")?,
-            pt(parse_num(x, "x coordinate")?, parse_num(y, "y coordinate")?),
-        ));
+        write!(out, "{field}").expect("writing to a String cannot fail");
     }
-    Ok(items)
+    out.push('\n');
+}
+
+/// The non-blank rows of a body, trimmed: `lines()` drops a `\r`
+/// before each `\n`, `trim()` any Unicode whitespace around a row.
+fn rows(body: &str) -> impl Iterator<Item = &str> {
+    body.lines().map(str::trim).filter(|line| !line.is_empty())
+}
+
+/// Splits a row into exactly `N` whitespace-separated fields, or `None`
+/// if it has more or fewer. Every row parser reads its fields through
+/// here, with no per-row allocation. The fields are always those of
+/// `split_whitespace`: on ASCII text without a vertical tab (every row
+/// an encoder writes), `split_ascii_whitespace` splits at the same
+/// places and skips the char decoding.
+fn split_row<const N: usize>(line: &str) -> Option<[&str; N]> {
+    if line.is_ascii() && !line.contains('\x0B') {
+        exactly(line.split_ascii_whitespace())
+    } else {
+        exactly(line.split_whitespace())
+    }
+}
+
+/// The `N` tokens of `tokens`, or `None` if there are more or fewer.
+fn exactly<'a, const N: usize>(mut tokens: impl Iterator<Item = &'a str>) -> Option<[&'a str; N]> {
+    let mut fields = [""; N];
+    for field in &mut fields {
+        *field = tokens.next()?;
+    }
+    tokens.next().is_none().then_some(fields)
+}
+
+/// Parses every non-blank row of `body` as exactly `N` fields; `shape`
+/// names the row in the error for a row of any other width.
+fn parse_rows<const N: usize, T>(
+    body: &str,
+    shape: &str,
+    parse: impl Fn([&str; N]) -> Result<T, ServerError>,
+) -> Result<Vec<T>, ServerError> {
+    rows(body)
+        .map(|line| {
+            parse(split_row(line).ok_or_else(|| {
+                ServerError::BadRequest(format!("expected {shape}, got {line:?}"))
+            })?)
+        })
+        .collect()
+}
+
+/// Appends `id x y` data rows (the body of `LOAD`, `INSERT`, `UPSERT`,
+/// `SLOAD` and a WAL LOAD record).
+pub(crate) fn encode_item_rows(out: &mut String, items: &[Item]) {
+    out.reserve(items.len() * 3 * FIELD_BYTES_HINT);
+    for it in items {
+        push_row(out, &[&it.id, &it.point.x, &it.point.y]);
+    }
+}
+
+/// Parses `id x y` fields; `what` names each field in its error.
+fn parse_item([id, x, y]: [&str; 3], what: [&str; 3]) -> Result<Item, ServerError> {
+    Ok(Item::new(
+        parse_num(id, what[0])?,
+        pt(parse_num(x, what[1])?, parse_num(y, what[2])?),
+    ))
+}
+
+const ITEM_FIELDS: [&str; 3] = ["item id", "x coordinate", "y coordinate"];
+
+/// Parses `id x y` data rows (`LOAD`, `INSERT`, `UPSERT`, `SLOAD`, a
+/// WAL LOAD record).
+pub(crate) fn parse_item_rows(body: &str) -> Result<Vec<Item>, ServerError> {
+    parse_rows(body, "`id x y` data row", |fields| {
+        parse_item(fields, ITEM_FIELDS)
+    })
 }
 
 /// Parses bare `id` data rows (used by `DELETE`).
 fn parse_id_rows(body: &str) -> Result<Vec<u64>, ServerError> {
-    body.lines()
-        .map(str::trim)
-        .filter(|line| !line.is_empty())
-        .map(|line| parse_num(line, "item id"))
-        .collect()
+    rows(body).map(|line| parse_num(line, "item id")).collect()
 }
 
-/// Encodes a mutation batch as `SUPDATE` body rows: `+ id x y`
-/// (insert), `- id` (delete), `^ id x y` (upsert).
-fn encode_mutation_rows(out: &mut String, ops: &[Mutation]) {
+/// Appends a mutation batch as body rows: `+ id x y` (insert), `- id`
+/// (delete), `^ id x y` (upsert). `SUPDATE`, the WAL and the CLI's
+/// mutation log share this grammar.
+pub fn encode_mutation_rows(out: &mut String, ops: &[Mutation]) {
+    out.reserve(ops.len() * 4 * FIELD_BYTES_HINT);
     for op in ops {
         match op {
-            Mutation::Insert(it) => {
-                out.push_str(&format!("+ {} {} {}\n", it.id, it.point.x, it.point.y));
-            }
-            Mutation::Delete(id) => out.push_str(&format!("- {id}\n")),
-            Mutation::Upsert(it) => {
-                out.push_str(&format!("^ {} {} {}\n", it.id, it.point.x, it.point.y));
-            }
+            Mutation::Insert(it) => push_row(out, &[&'+', &it.id, &it.point.x, &it.point.y]),
+            Mutation::Delete(id) => push_row(out, &[&'-', id]),
+            Mutation::Upsert(it) => push_row(out, &[&'^', &it.id, &it.point.x, &it.point.y]),
         }
     }
 }
 
-/// Parses `SUPDATE` body rows back into a mutation batch.
-fn parse_mutation_rows(body: &str) -> Result<Vec<Mutation>, ServerError> {
-    let mut ops = Vec::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let op = match fields.as_slice() {
-            ["+", id, x, y] | ["^", id, x, y] => {
-                let item = Item::new(
-                    parse_num(id, "item id")?,
-                    pt(parse_num(x, "x coordinate")?, parse_num(y, "y coordinate")?),
-                );
-                if fields[0] == "+" {
+/// Parses mutation rows (`SUPDATE`, a WAL UPDATE record) back into a
+/// batch.
+pub(crate) fn parse_mutation_rows(body: &str) -> Result<Vec<Mutation>, ServerError> {
+    rows(body)
+        .map(|line| {
+            if let Some([sym @ ("+" | "^"), id, x, y]) = split_row(line) {
+                let item = parse_item([id, x, y], ITEM_FIELDS)?;
+                Ok(if sym == "+" {
                     Mutation::Insert(item)
                 } else {
                     Mutation::Upsert(item)
-                }
-            }
-            ["-", id] => Mutation::Delete(parse_num(id, "item id")?),
-            _ => {
-                return Err(ServerError::BadRequest(format!(
+                })
+            } else if let Some(["-", id]) = split_row(line) {
+                Ok(Mutation::Delete(parse_num(id, "item id")?))
+            } else {
+                Err(ServerError::BadRequest(format!(
                     "expected `+ id x y`, `- id` or `^ id x y` mutation row, got {line:?}"
                 )))
             }
-        };
-        ops.push(op);
-    }
-    Ok(ops)
+        })
+        .collect()
 }
 
-/// Encodes result pairs as wire rows (`p_id p_x p_y q_id q_x q_y`, one
-/// per line, shortest-round-trip floats).
+/// Appends result pairs as wire rows (`p_id p_x p_y q_id q_x q_y`, one
+/// per line, shortest-round-trip floats). A reply appends them right
+/// after its status line, so the rows are never copied into a payload.
+pub fn push_pairs(out: &mut String, pairs: &[RcjPair]) {
+    out.reserve(pairs.len() * 6 * FIELD_BYTES_HINT);
+    for pr in pairs {
+        let (p, q) = (&pr.p, &pr.q);
+        push_row(
+            out,
+            &[&p.id, &p.point.x, &p.point.y, &q.id, &q.point.x, &q.point.y],
+        );
+    }
+}
+
+/// [`push_pairs`] into a new string.
 pub fn encode_pairs(pairs: &[RcjPair]) -> String {
     let mut out = String::new();
-    for pr in pairs {
-        out.push_str(&format!(
-            "{} {} {} {} {} {}\n",
-            pr.p.id, pr.p.point.x, pr.p.point.y, pr.q.id, pr.q.point.x, pr.q.point.y
-        ));
-    }
+    push_pairs(&mut out, pairs);
     out
+}
+
+fn parse_pair([pid, px, py, qid, qx, qy]: [&str; 6]) -> Result<RcjPair, ServerError> {
+    Ok(RcjPair::new(
+        parse_item([pid, px, py], ["p id", "p x", "p y"])?,
+        parse_item([qid, qx, qy], ["q id", "q x", "q y"])?,
+    ))
 }
 
 /// Parses wire pair rows back into [`RcjPair`]s (bit-exact round trip).
 pub fn parse_pairs(body: &str) -> Result<Vec<RcjPair>, ServerError> {
-    let mut pairs = Vec::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let [pid, px, py, qid, qx, qy] = fields.as_slice() else {
-            return Err(ServerError::BadRequest(format!(
-                "expected 6-field pair row, got {line:?}"
-            )));
-        };
-        pairs.push(RcjPair::new(
-            Item::new(
-                parse_num(pid, "p id")?,
-                pt(parse_num(px, "p x")?, parse_num(py, "p y")?),
-            ),
-            Item::new(
-                parse_num(qid, "q id")?,
-                pt(parse_num(qx, "q x")?, parse_num(qy, "q y")?),
-            ),
-        ));
-    }
-    Ok(pairs)
+    parse_rows(body, "6-field pair row", parse_pair)
 }
 
 /// Encodes a rectangle as `x0,y0,x1,y1` (shortest-round-trip floats;
@@ -762,67 +803,47 @@ pub fn encode_rect(r: Rect) -> String {
 
 /// Parses a [`encode_rect`] rectangle (bit-exact round trip).
 pub fn parse_rect(s: &str) -> Result<Rect, ServerError> {
-    let nums: Vec<f64> = s
-        .split(',')
-        .map(|v| parse_num(v, "rect coordinate"))
-        .collect::<Result<_, _>>()?;
-    if nums.len() != 4 {
-        return Err(ServerError::BadRequest(format!(
-            "rect needs exactly x0,y0,x1,y1, got {s:?}"
-        )));
-    }
+    let [x0, y0, x1, y1] = exactly(s.split(',')).ok_or_else(|| {
+        ServerError::BadRequest(format!("rect needs exactly x0,y0,x1,y1, got {s:?}"))
+    })?;
+    let num = |v: &str| parse_num(v, "rect coordinate");
     // Construct the corners verbatim: `Rect::new` would normalize a
     // min > max pair, silently turning the empty rect (`inf,inf,-inf,
     // -inf`) into an everything-rect on the way in.
     Ok(Rect {
-        min: pt(nums[0], nums[1]),
-        max: pt(nums[2], nums[3]),
+        min: pt(num(x0)?, num(y0)?),
+        max: pt(num(x1)?, num(y1)?),
     })
 }
 
-/// Encodes leaf-tagged result pairs as wire rows (`leaf p_id p_x p_y
+/// Appends leaf-tagged result pairs as wire rows (`leaf p_id p_x p_y
 /// q_id q_x q_y`): the shard-worker reply shape whose leading global
 /// outer-leaf index is the coordinator's deterministic merge key.
-pub fn encode_tagged_pairs(pairs: &[(usize, RcjPair)]) -> String {
-    let mut out = String::new();
+pub fn push_tagged_pairs(out: &mut String, pairs: &[(usize, RcjPair)]) {
+    out.reserve(pairs.len() * 7 * FIELD_BYTES_HINT);
     for (leaf, pr) in pairs {
-        out.push_str(&format!(
-            "{} {} {} {} {} {} {}\n",
-            leaf, pr.p.id, pr.p.point.x, pr.p.point.y, pr.q.id, pr.q.point.x, pr.q.point.y
-        ));
+        let (p, q) = (&pr.p, &pr.q);
+        push_row(
+            out,
+            &[
+                leaf, &p.id, &p.point.x, &p.point.y, &q.id, &q.point.x, &q.point.y,
+            ],
+        );
     }
-    out
 }
 
-/// Parses [`encode_tagged_pairs`] rows (bit-exact round trip).
+/// Parses [`push_tagged_pairs`] rows (bit-exact round trip).
 pub fn parse_tagged_pairs(body: &str) -> Result<Vec<(usize, RcjPair)>, ServerError> {
-    let mut pairs = Vec::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let [leaf, pid, px, py, qid, qx, qy] = fields.as_slice() else {
-            return Err(ServerError::BadRequest(format!(
-                "expected 7-field tagged pair row, got {line:?}"
-            )));
-        };
-        pairs.push((
-            parse_num(leaf, "leaf index")?,
-            RcjPair::new(
-                Item::new(
-                    parse_num(pid, "p id")?,
-                    pt(parse_num(px, "p x")?, parse_num(py, "p y")?),
-                ),
-                Item::new(
-                    parse_num(qid, "q id")?,
-                    pt(parse_num(qx, "q x")?, parse_num(qy, "q y")?),
-                ),
-            ),
-        ));
-    }
-    Ok(pairs)
+    parse_rows(
+        body,
+        "7-field tagged pair row",
+        |[leaf, pid, px, py, qid, qx, qy]| {
+            Ok((
+                parse_num(leaf, "leaf index")?,
+                parse_pair([pid, px, py, qid, qx, qy])?,
+            ))
+        },
+    )
 }
 
 /// The full [`RcjStats`] counter set as status-line fields — shard
@@ -958,9 +979,7 @@ impl ShardRequest {
                     out.push_str(&format!(" spill={path} writer={}", u8::from(*writer)));
                 }
                 out.push('\n');
-                for it in items {
-                    out.push_str(&format!("{} {} {}\n", it.id, it.point.x, it.point.y));
-                }
+                encode_item_rows(&mut out, items);
                 out
             }
             ShardRequest::Update {
@@ -1569,7 +1588,9 @@ mod tests {
                 RcjPair::new(Item::new(3, pt(1.0, 2.0)), Item::new(4, pt(3.0, 4.0))),
             ),
         ];
-        let parsed = parse_tagged_pairs(&encode_tagged_pairs(&tagged)).unwrap();
+        let mut wire = String::new();
+        push_tagged_pairs(&mut wire, &tagged);
+        let parsed = parse_tagged_pairs(&wire).unwrap();
         assert_eq!(parsed, tagged);
         assert!(parse_tagged_pairs("1 2 3 4 5 6\n").is_err(), "untagged row");
         assert!(parse_tagged_pairs("x 1 2 3 4 5 6\n").is_err(), "bad leaf");

@@ -24,8 +24,8 @@
 //! makes the supervisor's replay log idempotent.
 
 use crate::proto::{
-    encode_pairs, encode_rect, encode_stats_fields, encode_tagged_pairs, parse_pairs, parse_rect,
-    parse_tagged_pairs, read_frame, read_frame_idle, stats_from_reply, write_frame, FrameRead,
+    encode_rect, encode_stats_fields, parse_pairs, parse_rect, parse_tagged_pairs, push_pairs,
+    push_tagged_pairs, read_frame, read_frame_idle, stats_from_reply, write_frame, FrameRead,
     Reply, ShardRequest,
 };
 use crate::sharded::{
@@ -325,7 +325,9 @@ fn handle_shard_request(req: ShardRequest, shared: &WorkerShared) -> (String, bo
             engine_round_trip(shared, msg, rx).map(|(tagged, stats)| {
                 let mut fields = vec![("pairs", tagged.len().to_string())];
                 fields.extend(encode_stats_fields(&stats).map(|(k, v)| (k, v)));
-                Reply::encode(&fields, &encode_tagged_pairs(&tagged))
+                let mut payload = Reply::encode(&fields, "");
+                push_tagged_pairs(&mut payload, &tagged);
+                payload
             })
         }
         ShardRequest::TopK { outer, inner, k } => {
@@ -339,7 +341,9 @@ fn handle_shard_request(req: ShardRequest, shared: &WorkerShared) -> (String, bo
             engine_round_trip(shared, msg, rx).map(|(pairs, stats)| {
                 let mut fields = vec![("pairs", pairs.len().to_string())];
                 fields.extend(encode_stats_fields(&stats).map(|(k, v)| (k, v)));
-                Reply::encode(&fields, &encode_pairs(&pairs))
+                let mut payload = Reply::encode(&fields, "");
+                push_pairs(&mut payload, &pairs);
+                payload
             })
         }
         ShardRequest::Explain {

@@ -24,7 +24,7 @@
 
 use crate::admission::Admission;
 use crate::proto::{
-    encode_pairs, read_frame_idle, split_request_id, write_frame, FrameRead, Reply, Request,
+    push_pairs, read_frame_idle, split_request_id, write_frame, FrameRead, Reply, Request,
 };
 use crate::sharded::{Mutation, ShardedEngine, ShardedOutput, UpdateInfo};
 use crate::ServerError;
@@ -521,7 +521,7 @@ fn update_reply(id: Option<u64>, info: &UpdateInfo) -> String {
 /// The shared reply shape of `JOIN`/`SELFJOIN`/`TOPK`: run counters on
 /// the status line, pair rows in the body.
 fn join_reply(id: Option<u64>, out: &ShardedOutput) -> String {
-    Reply::encode_ok(
+    let mut payload = Reply::encode_ok(
         id,
         &[
             ("pairs", out.pairs.len().to_string()),
@@ -535,6 +535,8 @@ fn join_reply(id: Option<u64>, out: &ShardedOutput) -> String {
                 out.stats.verify_node_visits.to_string(),
             ),
         ],
-        &encode_pairs(&out.pairs),
-    )
+        "",
+    );
+    push_pairs(&mut payload, &out.pairs);
+    payload
 }

@@ -797,59 +797,39 @@ enum WalReplay {
 /// CLI's replay-log grammar already leans on, so decode reproduces the
 /// coordinates bit for bit.
 fn wal_encode_load(name: &str, kind: IndexKind, items: &[Item]) -> Vec<u8> {
-    use std::fmt::Write;
     let mut out = format!("LOAD {} {} {name}\n", kind.name(), items.len());
-    for it in items {
-        writeln!(out, "{} {} {}", it.id, it.point.x, it.point.y).expect("string write");
-    }
+    crate::proto::encode_item_rows(&mut out, items);
     out.into_bytes()
 }
 
 /// Encodes one mutation batch as a WAL payload (`+` insert, `-` delete,
 /// `^` upsert — the CLI's mutation-log grammar).
 fn wal_encode_update(name: &str, target_epoch: u64, ops: &[Mutation]) -> Vec<u8> {
-    use std::fmt::Write;
     let mut out = format!("UPDATE {target_epoch} {} {name}\n", ops.len());
-    for op in ops {
-        match op {
-            Mutation::Insert(it) => writeln!(out, "+ {} {} {}", it.id, it.point.x, it.point.y),
-            Mutation::Delete(id) => writeln!(out, "- {id}"),
-            Mutation::Upsert(it) => writeln!(out, "^ {} {} {}", it.id, it.point.x, it.point.y),
-        }
-        .expect("string write");
-    }
+    crate::proto::encode_mutation_rows(&mut out, ops);
     out.into_bytes()
-}
-
-fn wal_parse_item(line: &str) -> Result<Item, String> {
-    let mut fields = line.split_whitespace();
-    let mut next = |what: &str| -> Result<&str, String> {
-        fields
-            .next()
-            .ok_or_else(|| format!("WAL item line {line:?} is missing its {what}"))
-    };
-    let id: u64 = next("id")?
-        .parse()
-        .map_err(|_| format!("bad id in WAL item line {line:?}"))?;
-    let x: f64 = next("x")?
-        .parse()
-        .map_err(|_| format!("bad x in WAL item line {line:?}"))?;
-    let y: f64 = next("y")?
-        .parse()
-        .map_err(|_| format!("bad y in WAL item line {line:?}"))?;
-    Ok(Item::new(id, Point { x, y }))
 }
 
 /// Decodes one CRC-valid WAL payload. A decode failure here means a
 /// record that passed its checksum but does not parse — not a torn
 /// tail but genuine corruption (or a version skew), so recovery
-/// surfaces it as an error instead of truncating silently.
+/// surfaces it as an error instead of truncating silently. The body
+/// rows are read by the wire protocol's row parsers, the same grammar
+/// the encoders above write.
 fn wal_decode(payload: &[u8]) -> Result<WalReplay, String> {
     let text = std::str::from_utf8(payload).map_err(|_| "WAL record is not UTF-8".to_string())?;
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| "empty WAL record".to_string())?;
+    let (header, body) = text.split_once('\n').unwrap_or((text, ""));
     let mut fields = header.splitn(4, ' ');
     let tag = fields.next().unwrap_or_default();
+    let check_count = |what: &str, found: usize, n: usize| {
+        if found == n {
+            Ok(())
+        } else {
+            Err(format!(
+                "WAL {tag} record holds {found} {what}(s), its header says {n}"
+            ))
+        }
+    };
     match tag {
         "LOAD" => {
             let kind = match fields.next() {
@@ -865,13 +845,8 @@ fn wal_decode(payload: &[u8]) -> Result<WalReplay, String> {
                 .next()
                 .ok_or_else(|| format!("missing dataset name in WAL LOAD header {header:?}"))?
                 .to_string();
-            let mut items = Vec::new();
-            for _ in 0..n {
-                let line = lines
-                    .next()
-                    .ok_or_else(|| "WAL LOAD record is shorter than its item count".to_string())?;
-                items.push(wal_parse_item(line)?);
-            }
+            let items = crate::proto::parse_item_rows(body).map_err(|e| e.to_string())?;
+            check_count("item", items.len(), n)?;
             Ok(WalReplay::Load { name, kind, items })
         }
         "UPDATE" => {
@@ -887,25 +862,8 @@ fn wal_decode(payload: &[u8]) -> Result<WalReplay, String> {
                 .next()
                 .ok_or_else(|| format!("missing dataset name in WAL UPDATE header {header:?}"))?
                 .to_string();
-            let mut ops = Vec::new();
-            for _ in 0..n {
-                let line = lines
-                    .next()
-                    .ok_or_else(|| "WAL UPDATE record is shorter than its op count".to_string())?;
-                let (sym, rest) = line
-                    .split_once(' ')
-                    .ok_or_else(|| format!("bad WAL mutation line {line:?}"))?;
-                match sym {
-                    "+" => ops.push(Mutation::Insert(wal_parse_item(rest)?)),
-                    "^" => ops.push(Mutation::Upsert(wal_parse_item(rest)?)),
-                    "-" => ops.push(Mutation::Delete(
-                        rest.trim()
-                            .parse()
-                            .map_err(|_| format!("bad id in WAL delete line {line:?}"))?,
-                    )),
-                    _ => return Err(format!("unknown WAL mutation {sym:?}")),
-                }
-            }
+            let ops = crate::proto::parse_mutation_rows(body).map_err(|e| e.to_string())?;
+            check_count("op", ops.len(), n)?;
             Ok(WalReplay::Update {
                 name,
                 target_epoch,
@@ -1990,6 +1948,53 @@ mod tests {
         engine.load("p", p.to_vec()).index(kind);
         engine.load("q", q.to_vec()).index(kind);
         engine
+    }
+
+    /// WAL records decode to exactly what was encoded, and a record
+    /// whose rows disagree with its header's count is corruption.
+    #[test]
+    fn wal_records_round_trip_and_check_their_counts() {
+        let its = vec![
+            Item::new(u64::MAX, pt(-0.0, 1e300)),
+            Item::new(7, pt(2.5e-308, 0.1 + 0.2)),
+        ];
+        let bits = |it: &Item| (it.id, it.point.x.to_bits(), it.point.y.to_bits());
+        let Ok(WalReplay::Load { name, kind, items }) =
+            wal_decode(&wal_encode_load("pts", IndexKind::Quadtree, &its))
+        else {
+            panic!("LOAD record did not decode");
+        };
+        assert_eq!((name.as_str(), kind), ("pts", IndexKind::Quadtree));
+        assert_eq!(
+            items.iter().map(bits).collect::<Vec<_>>(),
+            its.iter().map(bits).collect::<Vec<_>>()
+        );
+
+        let ops = vec![
+            Mutation::Insert(its[0]),
+            Mutation::Delete(3),
+            Mutation::Upsert(its[1]),
+        ];
+        let Ok(WalReplay::Update {
+            target_epoch,
+            ops: back,
+            ..
+        }) = wal_decode(&wal_encode_update("pts", 9, &ops))
+        else {
+            panic!("UPDATE record did not decode");
+        };
+        assert_eq!((target_epoch, back), (9, ops));
+
+        for corrupt in [
+            "LOAD rtree 3 pts\n1 2 3\n4 5 6\n",
+            "LOAD rtree 1 pts\n1 2 3\n4 5 6\n",
+            "LOAD rtree 1 pts\n1 2\n",
+            "UPDATE 2 2 pts\n- 1\n",
+            "UPDATE 2 1 pts\n* 1 2 3\n",
+            "",
+        ] {
+            assert!(wal_decode(corrupt.as_bytes()).is_err(), "{corrupt:?}");
+        }
     }
 
     #[test]
