@@ -378,39 +378,20 @@ fn encode_log_batch(out: &mut String, ops: &[Mutation]) {
     ringjoin_server::proto::encode_mutation_rows(out, ops);
 }
 
-/// Parses one mutation row (already trimmed, non-empty, non-comment)
-/// into `batches`.
+/// Parses one log line (already trimmed, non-empty, non-comment) into
+/// `batches`: a `batch` separator, or a mutation row in the wire
+/// grammar of [`ringjoin_server::proto::parse_mutation_row`].
 fn parse_mutation_row(
     line: &str,
     lineno: usize,
     batches: &mut Vec<Vec<Mutation>>,
 ) -> Result<(), ArgError> {
-    let id = |v: &str| {
-        v.parse::<u64>()
-            .map_err(|_| ArgError(format!("log line {lineno}: invalid id {v:?}")))
-    };
-    let coord = |v: &str| {
-        v.parse::<f64>()
-            .map_err(|_| ArgError(format!("log line {lineno}: invalid coordinate {v:?}")))
-    };
-    let op = match line.split_whitespace().collect::<Vec<_>>().as_slice() {
-        ["batch", ..] => {
-            batches.push(Vec::new());
-            return Ok(());
-        }
-        ["+", i, x, y] => {
-            Mutation::Insert(Item::new(id(i)?, ringjoin_geom::pt(coord(x)?, coord(y)?)))
-        }
-        ["^", i, x, y] => {
-            Mutation::Upsert(Item::new(id(i)?, ringjoin_geom::pt(coord(x)?, coord(y)?)))
-        }
-        ["-", i] => Mutation::Delete(id(i)?),
-        _ => {
-            return Err(ArgError(format!(
-                "log line {lineno}: unrecognized mutation row {line:?}"
-            )))
-        }
-    };
+    if line.split_whitespace().next() == Some("batch") {
+        batches.push(Vec::new());
+        return Ok(());
+    }
+    let op = ringjoin_server::proto::parse_mutation_row(line)
+        .map_err(|e| ArgError(format!("log line {lineno}: {e}")))?;
     batches
         .last_mut()
         .ok_or_else(|| {

@@ -454,7 +454,6 @@ impl Request {
             }
             Request::Delete { name, ids } => {
                 let mut out = format!("DELETE {name}\n");
-                out.reserve(ids.len() * FIELD_BYTES_HINT);
                 for id in ids {
                     push_row(&mut out, &[id]);
                 }
@@ -628,12 +627,6 @@ impl Request {
     }
 }
 
-/// Bytes reserved per field when a row encoder pre-sizes its output:
-/// a shortest-round-trip `f64` is at most 24 bytes and usually under
-/// 20, an id is shorter. One reservation up front replaces the
-/// doubling reallocations (and their copies) of a growing reply.
-const FIELD_BYTES_HINT: usize = 20;
-
 /// Appends one wire row to `out`: the fields separated by single
 /// spaces, then `\n`. Every row encoder writes through here, in place:
 /// no per-row allocation, one row format for the whole grammar.
@@ -653,21 +646,9 @@ fn rows(body: &str) -> impl Iterator<Item = &str> {
     body.lines().map(str::trim).filter(|line| !line.is_empty())
 }
 
-/// Splits a row into exactly `N` whitespace-separated fields, or `None`
-/// if it has more or fewer. Every row parser reads its fields through
-/// here, with no per-row allocation. The fields are always those of
-/// `split_whitespace`: on ASCII text without a vertical tab (every row
-/// an encoder writes), `split_ascii_whitespace` splits at the same
-/// places and skips the char decoding.
-fn split_row<const N: usize>(line: &str) -> Option<[&str; N]> {
-    if line.is_ascii() && !line.contains('\x0B') {
-        exactly(line.split_ascii_whitespace())
-    } else {
-        exactly(line.split_whitespace())
-    }
-}
-
 /// The `N` tokens of `tokens`, or `None` if there are more or fewer.
+/// Every row parser reads its whitespace-separated fields through here,
+/// with no per-row allocation.
 fn exactly<'a, const N: usize>(mut tokens: impl Iterator<Item = &'a str>) -> Option<[&'a str; N]> {
     let mut fields = [""; N];
     for field in &mut fields {
@@ -685,7 +666,7 @@ fn parse_rows<const N: usize, T>(
 ) -> Result<Vec<T>, ServerError> {
     rows(body)
         .map(|line| {
-            parse(split_row(line).ok_or_else(|| {
+            parse(exactly(line.split_whitespace()).ok_or_else(|| {
                 ServerError::BadRequest(format!("expected {shape}, got {line:?}"))
             })?)
         })
@@ -695,7 +676,6 @@ fn parse_rows<const N: usize, T>(
 /// Appends `id x y` data rows (the body of `LOAD`, `INSERT`, `UPSERT`,
 /// `SLOAD` and a WAL LOAD record).
 pub(crate) fn encode_item_rows(out: &mut String, items: &[Item]) {
-    out.reserve(items.len() * 3 * FIELD_BYTES_HINT);
     for it in items {
         push_row(out, &[&it.id, &it.point.x, &it.point.y]);
     }
@@ -728,7 +708,6 @@ fn parse_id_rows(body: &str) -> Result<Vec<u64>, ServerError> {
 /// (delete), `^ id x y` (upsert). `SUPDATE`, the WAL and the CLI's
 /// mutation log share this grammar.
 pub fn encode_mutation_rows(out: &mut String, ops: &[Mutation]) {
-    out.reserve(ops.len() * 4 * FIELD_BYTES_HINT);
     for op in ops {
         match op {
             Mutation::Insert(it) => push_row(out, &[&'+', &it.id, &it.point.x, &it.point.y]),
@@ -738,34 +717,33 @@ pub fn encode_mutation_rows(out: &mut String, ops: &[Mutation]) {
     }
 }
 
+/// Parses one mutation row (`+ id x y`, `- id` or `^ id x y`, already
+/// trimmed and non-blank); [`encode_mutation_rows`] writes them.
+pub fn parse_mutation_row(line: &str) -> Result<Mutation, ServerError> {
+    let mut tokens = line.split_whitespace();
+    match tokens.next() {
+        Some("+") => exactly(tokens).map(|f| parse_item(f, ITEM_FIELDS).map(Mutation::Insert)),
+        Some("^") => exactly(tokens).map(|f| parse_item(f, ITEM_FIELDS).map(Mutation::Upsert)),
+        Some("-") => exactly(tokens).map(|[id]| parse_num(id, "item id").map(Mutation::Delete)),
+        _ => None,
+    }
+    .unwrap_or_else(|| {
+        Err(ServerError::BadRequest(format!(
+            "expected `+ id x y`, `- id` or `^ id x y` mutation row, got {line:?}"
+        )))
+    })
+}
+
 /// Parses mutation rows (`SUPDATE`, a WAL UPDATE record) back into a
 /// batch.
 pub(crate) fn parse_mutation_rows(body: &str) -> Result<Vec<Mutation>, ServerError> {
-    rows(body)
-        .map(|line| {
-            if let Some([sym @ ("+" | "^"), id, x, y]) = split_row(line) {
-                let item = parse_item([id, x, y], ITEM_FIELDS)?;
-                Ok(if sym == "+" {
-                    Mutation::Insert(item)
-                } else {
-                    Mutation::Upsert(item)
-                })
-            } else if let Some(["-", id]) = split_row(line) {
-                Ok(Mutation::Delete(parse_num(id, "item id")?))
-            } else {
-                Err(ServerError::BadRequest(format!(
-                    "expected `+ id x y`, `- id` or `^ id x y` mutation row, got {line:?}"
-                )))
-            }
-        })
-        .collect()
+    rows(body).map(parse_mutation_row).collect()
 }
 
 /// Appends result pairs as wire rows (`p_id p_x p_y q_id q_x q_y`, one
 /// per line, shortest-round-trip floats). A reply appends them right
 /// after its status line, so the rows are never copied into a payload.
 pub fn push_pairs(out: &mut String, pairs: &[RcjPair]) {
-    out.reserve(pairs.len() * 6 * FIELD_BYTES_HINT);
     for pr in pairs {
         let (p, q) = (&pr.p, &pr.q);
         push_row(
@@ -820,7 +798,6 @@ pub fn parse_rect(s: &str) -> Result<Rect, ServerError> {
 /// q_id q_x q_y`): the shard-worker reply shape whose leading global
 /// outer-leaf index is the coordinator's deterministic merge key.
 pub fn push_tagged_pairs(out: &mut String, pairs: &[(usize, RcjPair)]) {
-    out.reserve(pairs.len() * 7 * FIELD_BYTES_HINT);
     for (leaf, pr) in pairs {
         let (p, q) = (&pr.p, &pr.q);
         push_row(

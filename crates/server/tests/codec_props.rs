@@ -290,9 +290,9 @@ fn mutation() -> BoxedStrategy<Mutation> {
     .boxed()
 }
 
-/// Text that is mostly near-valid rows: numbers, row markers and every
-/// kind of whitespace the parsers treat specially (vertical tab, `\r`,
-/// no-break and em spaces, NEL), plus stray bytes.
+/// Text that is mostly near-valid rows: numbers, row markers and the
+/// edge kinds of whitespace (vertical tab, `\r`, no-break and em
+/// spaces, NEL), plus stray bytes.
 fn soup() -> impl Strategy<Value = String> {
     let token = prop_oneof![
         6 => (0u64..1000).prop_map(|n| n.to_string()),
@@ -530,10 +530,9 @@ proptest! {
     }
 }
 
-/// Rows that only differ in whitespace the ASCII fast path must treat
-/// as `split_whitespace` does: vertical tab and form feed separate
-/// fields, a no-break space does too (it is Unicode whitespace), and
-/// `\r\n` line ends are accepted.
+/// Rows that only differ in whitespace: vertical tab and form feed
+/// separate fields, a no-break space does too (it is Unicode
+/// whitespace), and `\r\n` line ends are accepted, as before.
 #[test]
 fn whitespace_edge_cases_match_split_whitespace() {
     for body in [
